@@ -462,11 +462,13 @@ impl Node for Phone {
     }
 
     fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
-        let _ = ctx;
         if self.current.is_none() {
             return;
         }
-        let Some(dissected) = stack::dissect(frame) else {
+        let Some(delivery) = ctx.delivery(frame) else {
+            return;
+        };
+        let Some(dissected) = delivery.dissected() else {
             return;
         };
         let src_mac = dissected.eth.src_addr;
@@ -485,7 +487,7 @@ impl Node for Phone {
                 // mDNS responses — only a registered NsdManager listener
                 // receives them.
                 if (sport == dns::MDNS_PORT || dport == dns::MDNS_PORT) && gate_mdns {
-                    if let Ok(message) = dns::Message::parse(payload) {
+                    if let Some(message) = delivery.dns() {
                         if message.is_response {
                             let text = message.text_content().join(" ");
                             self.harvest_text("mDNS", &text);
@@ -499,7 +501,7 @@ impl Node for Phone {
                     }
                 } else if sport == ssdp::SSDP_PORT && dport != ssdp::SSDP_PORT && gate_ssdp {
                     // Unicast SSDP response to our M-SEARCH.
-                    if let Ok(message) = ssdp::Message::parse(payload) {
+                    if let Some(message) = delivery.ssdp() {
                         let text = message.text_content().join(" ");
                         self.harvest_text("SSDP", &text);
                         self.current_harvest.push(Harvested {

@@ -5,7 +5,7 @@
 use crate::config::{DeviceConfig, TplinkRole};
 use crate::services::ServicePort;
 use iotlan_netsim::stack::{self, Content, Endpoint};
-use iotlan_netsim::{Context, Node, SimDuration};
+use iotlan_netsim::{Context, Delivery, Node, SimDuration};
 use iotlan_wire::ethernet::{build_frame, EtherType, EthernetAddress};
 use iotlan_wire::tls::{Handshake, Version as TlsVersion};
 use iotlan_wire::{arp, coap, dhcpv4, dns, eapol, icmpv4, icmpv6, igmp, ipv6, lifx, rtp, ssdp, tcp, tplink, tuya};
@@ -704,28 +704,30 @@ impl Device {
         }
     }
 
-    fn handle_mdns(&mut self, ctx: &mut Context, src: Endpoint, payload: &[u8]) {
-        let Ok(message) = dns::Message::parse(payload) else {
+    fn handle_mdns(&mut self, ctx: &mut Context, src: Endpoint, delivery: &Delivery) {
+        // Config first: a device that advertises nothing never asks the
+        // shared delivery for a parse.
+        let Some(mdns) = &self.config.mdns else {
+            return;
+        };
+        if mdns.advertise.is_empty() {
+            return;
+        }
+        let Some(message) = delivery.dns() else {
             return;
         };
         if message.is_response {
             return;
         }
-        let Some(mdns) = &self.config.mdns else { return };
-        let our_types: Vec<&str> = mdns
-            .advertise
-            .iter()
-            .map(|s| s.service_type.as_str())
-            .collect();
         let matches = message.questions.iter().any(|q| {
-            our_types.contains(&q.name.as_str())
-                || q.name == "_services._dns-sd._udp.local"
+            q.name == "_services._dns-sd._udp.local"
+                || mdns.advertise.iter().any(|s| s.service_type == q.name)
         });
-        if !matches || our_types.is_empty() {
+        if !matches {
             return;
         }
-        let wants_unicast = mdns.unicast_response
-            && message.questions.iter().any(|q| q.unicast_response);
+        let wants_unicast =
+            mdns.unicast_response && message.questions.iter().any(|q| q.unicast_response);
         let response = dns::Message::mdns_response(self.mdns_answer_records());
         let bytes = response.to_bytes();
         // Multicast response (the ~98% norm).
@@ -748,48 +750,42 @@ impl Device {
         self.mdns_responses_sent += 1;
     }
 
-    fn handle_ssdp(&mut self, ctx: &mut Context, src: Endpoint, sport: u16, payload: &[u8]) {
-        let Ok(message) = ssdp::Message::parse(payload) else {
-            return;
-        };
-        let Some(ssdp_config) = self.config.ssdp.clone() else {
+    fn handle_ssdp(&mut self, ctx: &mut Context, src: Endpoint, sport: u16, delivery: &Delivery) {
+        // Config first: a device that does not answer never asks the
+        // shared delivery for a parse.
+        let Some(ssdp_config) = &self.config.ssdp else {
             return;
         };
         if !ssdp_config.responds {
             return;
         }
-        if let ssdp::Message::MSearch {
+        if let Some(ssdp::Message::MSearch {
             search_target,
             max_wait,
             ..
-        } = message
+        }) = delivery.ssdp()
         {
             let ours = search_target == ssdp::targets::ALL
                 || search_target == ssdp::targets::ROOT_DEVICE
-                || ssdp_config
-                    .search_targets
-                    .iter()
-                    .any(|t| *t == search_target)
+                || ssdp_config.search_targets.contains(search_target)
                 || search_target.contains("MediaRenderer")
                 || search_target.contains("dial");
             if !ours {
                 return;
             }
-            let banner = self.ssdp_banner(&ssdp_config);
+            let banner = self.ssdp_banner(ssdp_config);
             let response = ssdp::Message::response(
                 if search_target == ssdp::targets::ALL {
                     ssdp::targets::ROOT_DEVICE
                 } else {
-                    &search_target
+                    search_target
                 },
                 &ssdp_config.uuid,
                 ssdp_config.location.as_deref(),
                 Some(&banner),
             );
             // Scatter within the MX window, per spec.
-            let scatter = ctx
-                .rng()
-                .gen_range(0..=u64::from(max_wait).max(1) * 1000);
+            let scatter = ctx.rng().gen_range(0..=u64::from(*max_wait).max(1) * 1000);
             ctx.send_frame_delayed(
                 SimDuration::from_millis(scatter),
                 stack::udp_unicast(self.endpoint, src, ssdp::SSDP_PORT, sport, &response.to_bytes()),
@@ -806,8 +802,11 @@ impl Device {
         dst_ip: Ipv4Addr,
         sport: u16,
         dport: u16,
-        payload: &[u8],
+        delivery: &Delivery,
     ) {
+        let Some(payload) = delivery.udp_payload() else {
+            return;
+        };
         let src = Endpoint {
             mac: eth_src,
             ip: src_ip,
@@ -817,10 +816,10 @@ impl Device {
             iotlan_wire::ipv4::is_multicast(dst_ip) || dst_ip.octets()[3] == 255;
         match dport {
             dns::MDNS_PORT if is_multicast_or_bcast || to_us => {
-                self.handle_mdns(ctx, src, payload)
+                self.handle_mdns(ctx, src, delivery)
             }
             ssdp::SSDP_PORT if is_multicast_or_bcast || to_us => {
-                self.handle_ssdp(ctx, src, sport, payload)
+                self.handle_ssdp(ctx, src, sport, delivery)
             }
             tplink::SHP_PORT => {
                 // A platform client that hears a sysinfo response follows up
@@ -884,7 +883,7 @@ impl Device {
         ctx: &mut Context,
         eth_src: EthernetAddress,
         src_ip: Ipv4Addr,
-        repr: tcp::Repr,
+        repr: &tcp::Repr,
         payload: &[u8],
     ) {
         let src = Endpoint {
@@ -1139,7 +1138,10 @@ impl Node for Device {
     }
 
     fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
-        let Some(dissected) = stack::dissect(frame) else {
+        let Some(delivery) = ctx.delivery(frame) else {
+            return;
+        };
+        let Some(dissected) = delivery.dissected() else {
             return;
         };
         let eth_src = dissected.eth.src_addr;
@@ -1151,20 +1153,16 @@ impl Node for Device {
                 dst,
                 sport,
                 dport,
-                payload,
-            } => {
-                let payload = payload.to_vec();
-                self.handle_udp(ctx, eth_src, src, dst, sport, dport, &payload);
-            }
+                ..
+            } => self.handle_udp(ctx, eth_src, src, dst, sport, dport, delivery),
             Content::TcpV4 {
                 src,
                 dst,
-                repr,
+                ref repr,
                 payload,
             } => {
                 if dst == self.config.ip {
-                    let payload = payload.to_vec();
-                    self.handle_tcp(ctx, eth_src, src, repr, &payload);
+                    self.handle_tcp(ctx, eth_src, src, repr, payload);
                 }
             }
             Content::IcmpV4 {

@@ -14,7 +14,7 @@
 //! discovery data and passed it on.
 
 use iotlan_netsim::stack::{self, Content, Endpoint};
-use iotlan_netsim::{Context, Node, SimDuration, SimTime};
+use iotlan_netsim::{Context, Delivery, Node, SimDuration, SimTime};
 use iotlan_wire::ethernet::EthernetAddress;
 use iotlan_wire::http::{Headers, Request, Response};
 use iotlan_wire::{arp, dns, icmpv4, ssdp, tcp};
@@ -181,7 +181,7 @@ impl Honeypot {
         dst_ip: Ipv4Addr,
         sport: u16,
         dport: u16,
-        payload: &[u8],
+        delivery: &Delivery,
     ) {
         let src = Endpoint {
             mac: src_mac,
@@ -189,9 +189,7 @@ impl Honeypot {
         };
         match dport {
             ssdp::SSDP_PORT => {
-                if let Ok(ssdp::Message::MSearch { search_target, .. }) =
-                    ssdp::Message::parse(payload)
-                {
+                if let Some(ssdp::Message::MSearch { search_target, .. }) = delivery.ssdp() {
                     self.log(
                         ctx,
                         src_mac,
@@ -204,7 +202,7 @@ impl Honeypot {
                         if search_target == ssdp::targets::ALL {
                             ssdp::targets::ROOT_DEVICE
                         } else {
-                            &search_target
+                            search_target
                         },
                         &self.canary_uuid,
                         Some(&location),
@@ -224,7 +222,7 @@ impl Honeypot {
                 }
             }
             dns::MDNS_PORT => {
-                if let Ok(message) = dns::Message::parse(payload) {
+                if let Some(message) = delivery.dns() {
                     if message.is_response || message.questions.is_empty() {
                         return;
                     }
@@ -289,7 +287,7 @@ impl Honeypot {
         ctx: &mut Context,
         src_mac: EthernetAddress,
         src_ip: Ipv4Addr,
-        repr: tcp::Repr,
+        repr: &tcp::Repr,
         payload: &[u8],
     ) {
         let src = Endpoint {
@@ -388,7 +386,10 @@ impl Node for Honeypot {
     }
 
     fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
-        let Some(dissected) = stack::dissect(frame) else {
+        let Some(delivery) = ctx.delivery(frame) else {
+            return;
+        };
+        let Some(dissected) = delivery.dissected() else {
             return;
         };
         let src_mac = dissected.eth.src_addr;
@@ -444,17 +445,14 @@ impl Node for Honeypot {
                 dst,
                 sport,
                 dport,
-                payload,
-            } => {
-                let payload = payload.to_vec();
-                self.handle_udp(ctx, src_mac, src, dst, sport, dport, &payload);
-            }
+                ..
+            } => self.handle_udp(ctx, src_mac, src, dst, sport, dport, delivery),
             Content::TcpV4 {
-                src, dst, repr, payload,
-            } if dst == self.endpoint.ip => {
-                let payload = payload.to_vec();
-                self.handle_tcp(ctx, src_mac, src, repr, &payload);
-            }
+                src,
+                dst,
+                ref repr,
+                payload,
+            } if dst == self.endpoint.ip => self.handle_tcp(ctx, src_mac, src, repr, payload),
             _ => {}
         }
     }

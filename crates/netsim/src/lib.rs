@@ -14,12 +14,16 @@
 //! * nodes implement [`Node`] (`on_start` / `on_frame` / `on_timer`) and
 //!   interact with the world through a [`Context`] that queues frame
 //!   transmissions and timers;
+//! * each delivered frame is decoded once into a [`Delivery`] — its
+//!   dissected layers plus a lazily parsed mDNS/SSDP message — that every
+//!   listener reads through [`Context::delivery`];
 //! * the router node ([`router::Router`]) provides DHCP, ARP and a DNS
 //!   stub like a consumer gateway;
 //! * fault injection ([`fault::FaultInjector`]) reproduces the smoltcp
 //!   example-suite knobs: drop chance, corrupt chance, size limit.
 
 pub mod capture;
+pub mod delivery;
 pub mod fault;
 pub mod network;
 pub mod router;
@@ -27,6 +31,7 @@ pub mod stack;
 pub mod time;
 
 pub use capture::{Capture, FrameRef, FrameSink, FRAME_OVERHEAD};
+pub use delivery::Delivery;
 pub use fault::FaultInjector;
 pub use network::{Context, Network, Node, NodeId};
 pub use time::{SimDuration, SimTime};

@@ -2,6 +2,7 @@
 //! delivery and the capture tap.
 
 use crate::capture::Capture;
+use crate::delivery::Delivery;
 use crate::fault::{FaultInjector, Verdict};
 use crate::time::{SimDuration, SimTime};
 use iotlan_wire::ethernet::{EthernetAddress, Frame};
@@ -28,6 +29,13 @@ pub trait Node {
 
     /// Called for every frame delivered to this node: unicast frames
     /// addressed to its MAC plus all multicast/broadcast frames.
+    ///
+    /// Every listener of one frame shares one [`Delivery`], reached through
+    /// [`Context::delivery`]: the frame's dissection and its DNS (mDNS) or
+    /// SSDP message are decoded once per frame, not once per listener. Nodes
+    /// read the decode from there instead of calling `stack::dissect` or
+    /// the message parsers on `frame` themselves. A wrapper node that
+    /// forwards this call must pass `frame` and `ctx` through unchanged.
     fn on_frame(&mut self, _ctx: &mut Context, _frame: &[u8]) {}
 
     /// Called when a timer set via [`Context::set_timer`] fires.
@@ -51,6 +59,8 @@ pub struct Context<'a> {
     actions: &'a mut Vec<(NodeId, Action)>,
     node_id: NodeId,
     rng: &'a mut Rng,
+    /// The frame being delivered, inside `on_frame`; `None` elsewhere.
+    delivery: Option<&'a Delivery<'a>>,
 }
 
 impl<'a> Context<'a> {
@@ -79,6 +89,20 @@ impl<'a> Context<'a> {
     /// nodes' draws in event order, which is itself deterministic).
     pub fn rng(&mut self) -> &mut Rng {
         self.rng
+    }
+
+    /// The shared decode of `frame`, the frame passed to the current
+    /// `on_frame`; `None` outside `on_frame`. The reference outlives this
+    /// borrow of the context, so a handler can read the decode and still
+    /// send frames.
+    pub fn delivery(&self, frame: &[u8]) -> Option<&'a Delivery<'a>> {
+        if let Some(delivery) = self.delivery {
+            debug_assert!(
+                std::ptr::eq(delivery.frame(), frame),
+                "on_frame was handed a slice other than the delivered buffer"
+            );
+        }
+        self.delivery
     }
 }
 
@@ -228,9 +252,9 @@ impl Network {
             self.now = event.time;
             iotlan_telemetry::clock::set_sim_micros(self.now.as_micros());
             match event.kind {
-                EventKind::Start(id) => self.dispatch(id, |node, ctx| node.on_start(ctx)),
+                EventKind::Start(id) => self.dispatch(id, None, |node, ctx| node.on_start(ctx)),
                 EventKind::Timer { node, token } => {
-                    self.dispatch(node, |n, ctx| n.on_timer(ctx, token))
+                    self.dispatch(node, None, |n, ctx| n.on_timer(ctx, token))
                 }
                 EventKind::Deliver { frame } => self.deliver(frame),
             }
@@ -245,7 +269,12 @@ impl Network {
         self.run_until(deadline);
     }
 
-    fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Context)) {
+    fn dispatch(
+        &mut self,
+        id: NodeId,
+        delivery: Option<&Delivery>,
+        f: impl FnOnce(&mut dyn Node, &mut Context),
+    ) {
         let mut actions = Vec::new();
         {
             let node = self.nodes[id].as_mut();
@@ -254,6 +283,7 @@ impl Network {
                 actions: &mut actions,
                 node_id: id,
                 rng: &mut self.rng,
+                delivery,
             };
             f(node, &mut ctx);
         }
@@ -306,6 +336,10 @@ impl Network {
         }
     }
 
+    /// Hand one frame to its listeners: the addressed node for unicast,
+    /// every node but the sender for multicast/broadcast. Both cases share
+    /// one [`Delivery`], so the frame is decoded once however many nodes
+    /// hear it.
     fn deliver(&mut self, frame: Vec<u8>) {
         let view = match Frame::new_checked(&frame[..]) {
             Ok(v) => v,
@@ -313,27 +347,41 @@ impl Network {
         };
         let dst = view.dst_addr();
         let src = view.src_addr();
-        if dst.is_multicast() {
-            // Broadcast medium: everyone but the sender hears it. The node
-            // list is snapshotted by length so delivery allocates nothing.
-            let count = self.nodes.len();
-            let mut fanout = 0u64;
-            for id in 0..count {
-                if self.nodes[id].mac() == src {
-                    continue;
-                }
-                fanout += 1;
-                self.dispatch(id, |node, ctx| node.on_frame(ctx, &frame));
-            }
-            iotlan_telemetry::counter!("netsim.frames_delivered").add(fanout);
-            iotlan_telemetry::histogram!("netsim.multicast_fanout").observe(fanout);
+        let unicast_to = if dst.is_multicast() {
+            None
         } else if let Some(&id) = self.by_mac.get(&dst) {
-            iotlan_telemetry::counter!("netsim.frames_delivered").incr();
-            self.dispatch(id, |node, ctx| node.on_frame(ctx, &frame));
+            Some(id)
         } else {
             // Unicast to an unknown MAC: silently lost, like a real switch
             // port with no station — but the loss is counted.
             iotlan_telemetry::counter!("netsim.unicast_unrouted").incr();
+            return;
+        };
+        let delivery = Delivery::new(&frame);
+        iotlan_telemetry::counter!("netsim.delivery.frames").incr();
+        let on_frame =
+            |node: &mut dyn Node, ctx: &mut Context| node.on_frame(ctx, delivery.frame());
+        match unicast_to {
+            Some(id) => {
+                iotlan_telemetry::counter!("netsim.frames_delivered").incr();
+                self.dispatch(id, Some(&delivery), on_frame);
+            }
+            None => {
+                // Broadcast medium: everyone but the sender hears it. The
+                // node list is snapshotted by length so delivery allocates
+                // nothing.
+                let count = self.nodes.len();
+                let mut fanout = 0u64;
+                for id in 0..count {
+                    if self.nodes[id].mac() == src {
+                        continue;
+                    }
+                    fanout += 1;
+                    self.dispatch(id, Some(&delivery), on_frame);
+                }
+                iotlan_telemetry::counter!("netsim.frames_delivered").add(fanout);
+                iotlan_telemetry::histogram!("netsim.multicast_fanout").observe(fanout);
+            }
         }
     }
 }

@@ -6,6 +6,7 @@
 //! the capture contains the DISCOVER/OFFER/REQUEST/ACK traffic — and the
 //! hostname/vendor-class leaks — that §5.1 analyzes.
 
+use crate::delivery::Delivery;
 use crate::network::{Context, Node};
 use crate::stack::{self, Endpoint};
 use iotlan_wire::dhcpv4;
@@ -174,9 +175,9 @@ impl Router {
         ctx.send_frame(frame);
     }
 
-    fn handle_dns(&mut self, ctx: &mut Context, src: Endpoint, sport: u16, payload: &[u8]) {
-        let query = match DnsMessage::parse(payload) {
-            Ok(q) if !q.is_response && !q.questions.is_empty() => q,
+    fn handle_dns(&mut self, ctx: &mut Context, src: Endpoint, sport: u16, delivery: &Delivery) {
+        let query = match delivery.dns() {
+            Some(q) if !q.is_response && !q.questions.is_empty() => q,
             _ => return,
         };
         // Stub resolution: every A query resolves to a documentation
@@ -207,9 +208,11 @@ impl Node for Router {
     }
 
     fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
-        let dissected = match stack::dissect(frame) {
-            Some(d) => d,
-            None => return,
+        let Some(delivery) = ctx.delivery(frame) else {
+            return;
+        };
+        let Some(dissected) = delivery.dissected() else {
+            return;
         };
         match dissected.content {
             stack::Content::Arp(request)
@@ -225,22 +228,14 @@ impl Node for Router {
                 ctx.send_frame(stack::arp_frame(&reply));
             }
             stack::Content::UdpV4 {
-                src,
-                sport,
-                dport: 67,
-                payload,
-                ..
-            } => {
-                let _ = src;
-                let _ = sport;
-                self.handle_dhcp(ctx, payload);
-            }
+                dport: 67, payload, ..
+            } => self.handle_dhcp(ctx, payload),
             stack::Content::UdpV4 {
                 src,
                 sport,
                 dport: 53,
                 dst,
-                payload,
+                ..
             } if dst == self.endpoint.ip => {
                 self.handle_dns(
                     ctx,
@@ -249,7 +244,7 @@ impl Node for Router {
                         ip: src,
                     },
                     sport,
-                    payload,
+                    delivery,
                 );
             }
             stack::Content::IcmpV4 {
@@ -327,9 +322,13 @@ mod tests {
             ctx.send_frame(frame);
         }
 
-        fn on_frame(&mut self, _ctx: &mut Context, frame: &[u8]) {
-            if let Some(stack::Content::UdpV4 { dport: 68, payload, .. }) =
-                stack::dissect(frame).map(|d| d.content)
+        fn on_frame(&mut self, ctx: &mut Context, frame: &[u8]) {
+            if let Some(stack::Content::UdpV4 {
+                dport: 68, payload, ..
+            }) = ctx
+                .delivery(frame)
+                .and_then(|d| d.dissected())
+                .map(|d| &d.content)
             {
                 if let Ok(packet) = dhcpv4::Packet::new_checked(payload) {
                     if let Ok(reply) = dhcpv4::Repr::parse(&packet) {

@@ -175,23 +175,17 @@ pub fn igmp_frame(src: Endpoint, group: Ipv4Addr, repr: &igmp::Repr) -> Vec<u8> 
     )
 }
 
-/// Build an ICMPv6 frame (NDP or echo) over IPv6.
+/// Build an ICMPv6 frame (NDP or echo) to an IPv6 multicast group,
+/// addressed to the group's Ethernet MAC. Unicast replies, whose MAC cannot
+/// be derived from the IPv6 address in general, go through
+/// [`icmpv6_frame_to`].
 pub fn icmpv6_frame(
     src_mac: EthernetAddress,
     src_ip: Ipv6Addr,
     dst_ip: Ipv6Addr,
     repr: &icmpv6::Repr,
 ) -> Vec<u8> {
-    let dst_mac = if ipv6::is_multicast(dst_ip) {
-        multicast_mac_v6(dst_ip)
-    } else {
-        // Simplification: resolve via EUI-64 reversal is not possible in
-        // general; NDP-layer code passes multicast destinations. Unicast
-        // NA replies address the solicitor's MAC at the Ethernet layer via
-        // `icmpv6_frame_to`.
-        multicast_mac_v6(dst_ip)
-    };
-    icmpv6_frame_to(src_mac, dst_mac, src_ip, dst_ip, repr)
+    icmpv6_frame_to(src_mac, multicast_mac_v6(dst_ip), src_ip, dst_ip, repr)
 }
 
 /// Build a unicast ICMPv6 frame to a known MAC.

@@ -4,8 +4,8 @@
 //! `StreamEngine` pass, a crowd-pipeline sweep, a scanner or honeypot
 //! campaign — builds a [`Manifest`] describing what it did: the seed and
 //! configuration, per-phase timings, output counts, content digests of
-//! its outputs, and host facts (thread count, allocator stats, pool
-//! accounting).
+//! its outputs, and host facts (thread count, pool accounting, and the
+//! allocation count when a counting allocator is installed).
 //!
 //! A manifest keeps **deterministic** and **host-volatile** facts apart:
 //!
@@ -148,11 +148,15 @@ impl Manifest {
             .insert("metrics".to_string(), crate::metrics::snapshot());
     }
 
-    /// Attach host facts: effective thread count, process allocation
-    /// count, and the pool's per-worker accounting.
+    /// Attach host facts: effective thread count, the pool's per-worker
+    /// accounting, and the process allocation count — the last only when
+    /// the counting allocator is installed, since a manifest never
+    /// reports a value it did not measure.
     pub fn attach_host_info(&mut self) {
         self.set_host("threads", pool::thread_count() as u64);
-        self.set_host("allocations", iotlan_util::alloc::allocation_count());
+        if iotlan_util::alloc::counting_active() {
+            self.set_host("allocations", iotlan_util::alloc::allocation_count());
+        }
         let stats = pool::stats();
         let mut pool_map = json::Map::new();
         pool_map.insert("regions".to_string(), json::Value::from(stats.regions));
@@ -280,6 +284,19 @@ mod tests {
         assert!(det.contains("\"seed\":7"));
         assert!(det.contains("\"sim_micros\":1000"));
         assert!(det.contains(&digest_hex(b"payload")));
+    }
+
+    #[test]
+    fn allocations_omitted_without_counting_allocator() {
+        // This unit-test binary runs on the system allocator, so nothing
+        // counts allocations and the manifest must not claim a count.
+        assert!(!iotlan_util::alloc::counting_active());
+        let mut manifest = Manifest::new("host_run");
+        manifest.attach_host_info();
+        let full = manifest.to_json();
+        let host = full["host"].as_object().expect("host section");
+        assert!(host.get("threads").is_some());
+        assert!(host.get("allocations").is_none());
     }
 
     #[test]

@@ -57,6 +57,13 @@ pub fn allocation_count() -> u64 {
     ALLOCATION_EVENTS.load(Ordering::SeqCst)
 }
 
+/// Is [`CountingAllocator`] installed in this process? Any process that
+/// installed it has allocated before it can ask (the runtime itself
+/// allocates at start-up), so a zero count means nothing is counting.
+pub fn counting_active() -> bool {
+    allocation_count() > 0
+}
+
 /// Run `f` and return how many allocation events it performed, with its
 /// result.
 pub fn count_allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {

@@ -57,6 +57,11 @@ impl Headers {
     }
 }
 
+/// Most header fields a message head may carry. Larger heads are rejected
+/// as malformed rather than materialized: a header flood from the LAN must
+/// not cost every listener an unbounded allocation.
+pub const MAX_HEADERS: usize = 100;
+
 /// Split `data` into (start-line, headers, body). Tolerates bare-LF line
 /// endings, which some IoT firmwares emit.
 pub(crate) fn parse_head(data: &[u8]) -> Result<(String, Headers, Vec<u8>)> {
@@ -72,6 +77,9 @@ pub(crate) fn parse_head(data: &[u8]) -> Result<(String, Headers, Vec<u8>)> {
     for line in lines {
         if line.is_empty() {
             continue;
+        }
+        if headers.0.len() == MAX_HEADERS {
+            return Err(Error::Malformed);
         }
         let (name, value) = line.split_once(':').ok_or(Error::Malformed)?;
         headers.push(name.trim(), value.trim());
@@ -222,6 +230,21 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn header_flood_is_malformed() {
+        let mut head = String::from("GET / HTTP/1.1\r\n");
+        for i in 0..MAX_HEADERS {
+            head.push_str(&format!("X-{i}: a\r\n"));
+        }
+        let at_limit = format!("{head}\r\n");
+        assert_eq!(
+            Request::parse(at_limit.as_bytes()).unwrap().headers.0.len(),
+            MAX_HEADERS
+        );
+        let flood = format!("{head}X-Extra: a\r\n\r\n");
+        assert_eq!(Request::parse(flood.as_bytes()), Err(Error::Malformed));
+    }
 
     #[test]
     fn request_roundtrip() {
