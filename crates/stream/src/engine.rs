@@ -38,10 +38,7 @@
 use crate::flowtab::{FlowRecord, FlowRecordSink, StreamFlowTable};
 use crate::sketch::{CountMin, Distinct};
 use iotlan_analysis::graph::{DeviceGraph, Edge, EdgeKind};
-use iotlan_analysis::periodicity::{
-    autocorrelation_periodic, destination_bucket_of, dft_periodic, interval_regularity_periodic,
-    Group, GroupKey, PeriodicityReport, DISCOVERY_PROTOCOLS,
-};
+use iotlan_analysis::periodicity::{destination_bucket_of, Group, GroupKey, PeriodicityReport};
 use iotlan_analysis::prevalence::{prevalence_from_observations, Prevalence};
 use iotlan_analysis::responses::{
     rows_from_records, CategoryResponseRow, DeviceRecord, EXCLUDED_PROTOCOLS,
@@ -646,21 +643,7 @@ impl StreamReport {
         let groups = self
             .periodicity_groups
             .iter()
-            .map(|(key, events)| {
-                let events = events.clone();
-                let period = interval_regularity_periodic(&events)
-                    .or_else(|| autocorrelation_periodic(&events))
-                    .or_else(|| dft_periodic(&events));
-                let discovery = DISCOVERY_PROTOCOLS.contains(&key.protocol.as_str());
-                Group {
-                    decidable: events.len() >= 4,
-                    periodic: period.is_some(),
-                    period_secs: period,
-                    discovery,
-                    key: key.clone(),
-                    events,
-                }
-            })
+            .map(|(key, events)| Group::new(key.clone(), events.clone()))
             .collect();
         PeriodicityReport { groups }
     }

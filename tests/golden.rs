@@ -4,9 +4,10 @@
 //! alters behaviour deterministically passes them. This file pins fnv1a64
 //! digests (the run manifests' digest function) of what `LabConfig::fast()`
 //! produces at seed 42 after its idle capture plus one minute of
-//! interactions: the capture pcap, the honeypot interaction log, and the
-//! Fig. 1 and Fig. 2 renders. Each digest must hold at one and at four pool
-//! threads.
+//! interactions: the capture pcap, the honeypot interaction log, the
+//! Fig. 1, Fig. 2 and App. D.1 renders, and the App. D.1 per-group verdicts
+//! (the render shows only aggregates, so a moved period would otherwise go
+//! unnoticed). Each digest must hold at one and at four pool threads.
 //!
 //! A change that moves a digest must name the cause; the new value is the
 //! one the failure message prints.
@@ -17,12 +18,35 @@ use iotlan::telemetry::digest_hex;
 use iotlan::util::pool;
 use iotlan::{Lab, LabConfig};
 
-const GOLDEN: [(&str, &str); 4] = [
+const GOLDEN: [(&str, &str); 6] = [
     ("capture.pcap", "e00db4ab3b06a438"),
     ("honeypot.log", "716798ec4268fd91"),
     ("fig1.txt", "fde4c69027cd8ac2"),
     ("fig2.txt", "d991359fad748177"),
+    ("appd1.txt", "fc011309b3d5c6b4"),
+    ("appd1.groups", "d4b721722e0654ce"),
 ];
+
+/// One line per App. D.1 group: its key and verdict, with the period as raw
+/// `f64` bits so any change to a detector's arithmetic shows.
+fn appd1_groups(appd1: &experiments::AppD1) -> String {
+    appd1
+        .report
+        .groups
+        .iter()
+        .map(|g| {
+            format!(
+                "{} {} {} {} {} {:?}\n",
+                g.key.src_mac,
+                g.key.destination,
+                g.key.protocol,
+                g.decidable,
+                g.periodic,
+                g.period_secs.map(f64::to_bits),
+            )
+        })
+        .collect()
+}
 
 fn fast_lab_digests() -> Vec<(&'static str, String)> {
     let mut lab = Lab::new(LabConfig::fast());
@@ -37,6 +61,12 @@ fn fast_lab_digests() -> Vec<(&'static str, String)> {
         .as_str()
         .expect("the campaign manifest digests its interaction log")
         .to_string();
+    assert_eq!(
+        lab.network.capture.len() as u64,
+        lab.network.frames_sent(),
+        "every frame sent is captured exactly once"
+    );
+    let appd1 = experiments::appd1_periodicity(&lab);
     vec![
         ("capture.pcap", digest_hex(&lab.network.capture.to_pcap())),
         ("honeypot.log", honeypot_log),
@@ -48,6 +78,8 @@ fn fast_lab_digests() -> Vec<(&'static str, String)> {
             "fig2.txt",
             digest_hex(experiments::fig2_prevalence(&lab, None).render().as_bytes()),
         ),
+        ("appd1.txt", digest_hex(appd1.render().as_bytes())),
+        ("appd1.groups", digest_hex(appd1_groups(&appd1).as_bytes())),
     ]
 }
 
