@@ -9,8 +9,9 @@
 //!   and mobile-app datasets (Fig. 2);
 //! * [`periodicity`] — DFT + autocorrelation periodicity detection per
 //!   (destination, protocol) group (Appendix D.1);
-//! * [`responses`] — discovery→response correlation within a 3-second
-//!   window, grouped by device category (Table 4, Appendix D.2);
+//! * [`responses`] — Table 4 rows from the discovery→response correlation
+//!   (3-second window, run by the stream engine), grouped by device
+//!   category (Table 4, Appendix D.2);
 //! * [`exposure`] — the information-exposure matrix per discovery protocol
 //!   (Table 1);
 //! * [`payloads`] — payload-example extraction (Table 5);
@@ -28,4 +29,4 @@ pub use exposure::{exposure_matrix, ExposureMatrix};
 pub use graph::{build_graph, DeviceGraph};
 pub use periodicity::{analyze_periodicity, PeriodicityReport};
 pub use prevalence::{passive_prevalence, Prevalence};
-pub use responses::{discovery_responses, CategoryResponseRow};
+pub use responses::CategoryResponseRow;

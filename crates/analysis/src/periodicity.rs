@@ -300,50 +300,51 @@ pub fn dft_periodic(events: &[f64]) -> Option<f64> {
 /// Analyze a flow table, grouping by (source, destination, protocol).
 pub fn analyze_periodicity(table: &FlowTable) -> PeriodicityReport {
     let rules = paper_rules();
+    let labels: Vec<Label> = table
+        .flows
+        .iter()
+        .map(|flow| classify_with_rules(flow, &rules))
+        .collect();
+    let groups = group_events(table, &labels)
+        .into_iter()
+        .map(|(key, events)| Group::new(key, events))
+        .collect();
+    PeriodicityReport { groups }
+}
+
+/// Each (source, destination, protocol) group's arrival times in seconds,
+/// sorted. `labels[i]` is the classification of `table.flows[i]`; the
+/// destination is the flow's first-frame bucket: "broadcast",
+/// "multicast:<ip>", or the unicast IP (the MAC for non-IP flows).
+pub fn group_events(table: &FlowTable, labels: &[Label]) -> BTreeMap<GroupKey, Vec<f64>> {
     let mut groups: BTreeMap<GroupKey, Vec<f64>> = BTreeMap::new();
-    for flow in &table.flows {
-        let protocol = classify_with_rules(flow, &rules);
-        let destination = destination_bucket(flow);
+    for (flow, label) in table.flows.iter().zip(labels) {
         let key = GroupKey {
             src_mac: flow.key.src_mac,
-            destination,
-            protocol: protocol.to_string(),
+            destination: destination_bucket(flow),
+            protocol: label.to_string(),
         };
         let entry = groups.entry(key).or_default();
         entry.extend(flow.timestamps.iter().map(|t| t.as_secs_f64()));
     }
-    let analyzed = groups
-        .into_iter()
-        .map(|(key, mut events)| {
-            events.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            Group::new(key, events)
-        })
-        .collect();
-    PeriodicityReport { groups: analyzed }
+    for events in groups.values_mut() {
+        events.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    }
+    groups
 }
 
 fn destination_bucket(flow: &Flow) -> String {
-    destination_bucket_of(flow.dst_mac, flow.key.dst_ip)
-}
-
-/// The (destination) half of the grouping key, from the flow's first-frame
-/// destination MAC and IP. Public so the streaming engine buckets
-/// identically to the batch pass.
-pub fn destination_bucket_of(
-    dst_mac: EthernetAddress,
-    dst_ip: Option<std::net::Ipv4Addr>,
-) -> String {
-    if dst_mac.is_broadcast() {
+    if flow.dst_mac.is_broadcast() {
         "broadcast".into()
-    } else if dst_mac.is_multicast() {
-        match dst_ip {
+    } else if flow.dst_mac.is_multicast() {
+        match flow.key.dst_ip {
             Some(ip) => format!("multicast:{ip}"),
             None => "multicast".into(),
         }
     } else {
-        match dst_ip {
+        match flow.key.dst_ip {
             Some(ip) => ip.to_string(),
-            None => dst_mac.to_string(),
+            None => flow.dst_mac.to_string(),
         }
     }
 }

@@ -7,8 +7,7 @@
 //! `telemetry::set_enabled(false)`, which leaves only the per-call-site
 //! `enabled()` load in place. The emitted `{"type":"overhead",…}` line is
 //! the repo's pinned claim that instrumentation costs <5% of end-to-end
-//! wall clock; compiling the `telemetry` feature out removes even the
-//! flag check.
+//! wall clock.
 //!
 //! A second line prices the raw counter hot path (increments/sec, enabled
 //! vs disabled) so a regression in the metric primitives themselves is

@@ -11,9 +11,8 @@ fn bench(c: &mut Criterion) {
     println!("== Table 4 — discovery protocols and responses ==");
     println!("paper: Echo 3.65 disc / 1.82 resp / 9.47 devices; Google 4.0/3.0/5.14");
     println!("{}", responses::render(&rows));
-    let table = lab.flow_table();
-    c.bench_function("table4/discovery_responses", |b| {
-        b.iter(|| responses::discovery_responses(&table, &lab.catalog))
+    c.bench_function("table4/table4_responses", |b| {
+        b.iter(|| experiments::table4_responses(&lab))
     });
 }
 

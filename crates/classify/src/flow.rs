@@ -74,9 +74,7 @@ impl Flow {
 }
 
 /// One dissected frame: the flow key it belongs to plus the per-frame
-/// evidence flow assembly records. Shared by [`FlowTable::add_frame`] and
-/// the streaming engine so the two paths key frames identically by
-/// construction.
+/// evidence flow assembly records, as [`FlowTable::add_frame`] returns it.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameEvidence<'a> {
     pub key: FlowKey,
@@ -211,13 +209,33 @@ pub fn dissect_frame(data: &[u8]) -> Option<FrameEvidence<'_>> {
 }
 
 /// The assembled flow table for one capture.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct FlowTable {
     pub flows: Vec<Flow>,
     index: HashMap<FlowKey, usize>,
+    /// Most arrival times kept per flow; packet and byte counts stay exact.
+    timestamp_cap: usize,
+}
+
+impl Default for FlowTable {
+    fn default() -> FlowTable {
+        FlowTable::with_timestamp_cap(usize::MAX)
+    }
 }
 
 impl FlowTable {
+    /// An empty table that keeps at most `cap` arrival times per flow, so
+    /// its state is bounded by flow count rather than capture length. A
+    /// flow whose `timestamps.len() < packets` hit the cap. The default
+    /// table keeps every timestamp.
+    pub fn with_timestamp_cap(cap: usize) -> FlowTable {
+        FlowTable {
+            flows: Vec::new(),
+            index: HashMap::new(),
+            timestamp_cap: cap,
+        }
+    }
+
     /// Assemble flows from a capture, respecting the paper's local-traffic
     /// filter (Appendix C.1): keep local↔local IP traffic, all Ethernet
     /// multicast/broadcast, and non-IP unicast.
@@ -229,52 +247,42 @@ impl FlowTable {
         table
     }
 
-    /// Add one raw frame.
-    pub fn add_frame(&mut self, time: SimTime, data: &[u8]) {
-        let Some(FrameEvidence {
-            key,
-            dst_mac,
-            payload,
-        }) = dissect_frame(data)
-        else {
-            return;
-        };
-        let total_len = data.len() as u64;
-        match self.index.get(&key) {
-            Some(&i) => {
-                let flow = &mut self.flows[i];
-                flow.packets += 1;
-                flow.bytes += total_len;
-                flow.last_seen = time;
-                flow.timestamps.push(time);
-                if flow.payload_samples.len() < MAX_SAMPLES {
-                    if let Some(p) = payload {
-                        if !p.is_empty() {
-                            flow.payload_samples.push(p.to_vec());
-                        }
-                    }
-                }
-            }
-            None => {
-                let mut payload_samples = Vec::new();
-                if let Some(p) = payload {
-                    if !p.is_empty() {
-                        payload_samples.push(p.to_vec());
-                    }
-                }
-                self.index.insert(key, self.flows.len());
-                self.flows.push(Flow {
-                    key,
-                    packets: 1,
-                    bytes: total_len,
-                    first_seen: time,
-                    last_seen: time,
-                    dst_mac,
-                    payload_samples,
-                    timestamps: vec![time],
-                });
+    /// Add one raw frame. Returns the index of its flow in `flows` and the
+    /// frame's evidence, or `None` when the frame is too short to carry an
+    /// Ethernet header (see [`dissect_frame`]).
+    pub fn add_frame<'a>(
+        &mut self,
+        time: SimTime,
+        data: &'a [u8],
+    ) -> Option<(usize, FrameEvidence<'a>)> {
+        let evidence = dissect_frame(data)?;
+        let flows = &mut self.flows;
+        let index = *self.index.entry(evidence.key).or_insert_with(|| {
+            flows.push(Flow {
+                key: evidence.key,
+                packets: 0,
+                bytes: 0,
+                first_seen: time,
+                last_seen: time,
+                dst_mac: evidence.dst_mac,
+                payload_samples: Vec::new(),
+                timestamps: Vec::new(),
+            });
+            flows.len() - 1
+        });
+        let flow = &mut self.flows[index];
+        flow.packets += 1;
+        flow.bytes += data.len() as u64;
+        flow.last_seen = time;
+        if flow.timestamps.len() < self.timestamp_cap {
+            flow.timestamps.push(time);
+        }
+        if flow.payload_samples.len() < MAX_SAMPLES {
+            if let Some(p) = evidence.payload.filter(|p| !p.is_empty()) {
+                flow.payload_samples.push(p.to_vec());
             }
         }
+        Some((index, evidence))
     }
 
     pub fn len(&self) -> usize {
@@ -362,5 +370,21 @@ mod tests {
         }
         assert_eq!(table.flows[0].payload_samples.len(), MAX_SAMPLES);
         assert_eq!(table.flows[0].timestamps.len(), 10);
+    }
+
+    #[test]
+    fn timestamp_cap_keeps_counts_exact() {
+        let mut table = FlowTable::with_timestamp_cap(4);
+        for i in 0..10u8 {
+            let frame = stack::udp_unicast(ep(1), ep(2), 7, 8, &[i; 4]);
+            let added = table.add_frame(SimTime::from_secs(u64::from(i)), &frame);
+            assert_eq!(added.map(|(index, _)| index), Some(0));
+        }
+        let flow = &table.flows[0];
+        assert_eq!(flow.packets, 10);
+        assert_eq!(flow.last_seen, SimTime::from_secs(9));
+        assert_eq!(flow.timestamps.len(), 4);
+        assert_eq!(flow.timestamps[3], SimTime::from_secs(3));
+        assert!(table.add_frame(SimTime::ZERO, &[0u8; 4]).is_none());
     }
 }

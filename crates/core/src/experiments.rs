@@ -11,6 +11,7 @@ use iotlan_devices::{Catalog, Category};
 use iotlan_inspector::{dataset, entropy};
 use iotlan_scan::portscan;
 use iotlan_scan::vuln;
+use iotlan_stream::engine::stream_capture;
 
 /// Figure 1: the device-to-device transport graph.
 pub struct Fig1 {
@@ -283,9 +284,10 @@ pub fn table3_inventory(catalog: &Catalog) -> String {
     out
 }
 
-/// Table 4: discovery-response correlation.
+/// Table 4: discovery-response correlation, run by the stream engine's
+/// correlator over the lab capture.
 pub fn table4_responses(lab: &Lab) -> Vec<responses::CategoryResponseRow> {
-    responses::discovery_responses(&lab.flow_table(), &lab.catalog)
+    stream_capture(&lab.network.capture, &lab.catalog).discovery_response_rows(&lab.catalog)
 }
 
 /// Table 5: payload examples.

@@ -8,37 +8,36 @@
 //! resident to answer "which protocols does each device speak?".
 //!
 //! This crate computes the same answers in one pass over the packets with
-//! state bounded by the *structure* of the traffic (flow-key cardinality,
-//! device count, correlation-window depth), not by its length:
+//! state bounded by the *structure* of the traffic (flow count, device
+//! count, correlation-window depth), not by its length:
 //!
-//! * [`engine::StreamEngine`] — the single-pass engine. Feed it frames
-//!   (it implements [`iotlan_netsim::FrameSink`]) or raw pcap bytes in
-//!   arbitrary chunks (via `iotlan_wire::pcap::PcapStreamReader`); call
+//! * [`engine::StreamEngine`] — the single-pass engine: the batch
+//!   `FlowTable` with each flow's timestamps capped at
+//!   [`engine::EVENT_CAP`], plus the Table 4 discovery→response
+//!   correlator. Feed it frames (it implements
+//!   [`iotlan_netsim::FrameSink`]) or raw pcap bytes in arbitrary chunks
+//!   (via `iotlan_wire::pcap::PcapStreamReader`); call
 //!   [`engine::StreamEngine::finish`] for a [`engine::StreamReport`].
-//! * [`flowtab::StreamFlowTable`] — a bounded flow table with
-//!   deterministic LRU + idle-timeout eviction that emits completed
-//!   [`flowtab::FlowRecord`]s to a sink as they retire.
-//! * [`sketch`] — std-only probabilistic sketches (Count-Min, KMV
-//!   distinct counter) with documented error bounds, for crowd-scale
-//!   supplementary counters.
+//! * [`sketch`] — a std-only KMV distinct counter with a documented error
+//!   bound.
 //! * [`crowd`] — bounded-memory identifier-space estimation over the
 //!   IoT-Inspector crowdsourced dataset, replacing the batch Table 2
 //!   global identifier sets with KMV sketches.
 //!
 //! ## Determinism and batch equivalence
 //!
-//! For any capture, the engine's figure/table outputs (Fig. 1/4 graph,
-//! Fig. 2 passive prevalence, Table 4 discovery→response rows, and —
-//! below the per-key event cap — the App. D.1 periodicity report) are
-//! byte-identical to the batch pipeline's, regardless of how the input
-//! was chunked and at any thread count. See `DESIGN.md` §7 for the
-//! argument; `tests/stream_equivalence.rs` enforces it.
+//! The report renders Fig. 1/4, Fig. 2 and App. D.1 with the batch
+//! analysis functions over its flow table, so they equal the batch
+//! pipeline's outputs (App. D.1 while no flow hits the timestamp cap).
+//! Table 4 has one implementation, the correlator; `core::experiments`
+//! runs it through [`engine::stream_capture`]. Every output is independent
+//! of how the input was chunked. See `DESIGN.md` §7;
+//! `tests/stream_equivalence.rs` checks the correlator against an
+//! independent batch cross-join.
 
 pub mod crowd;
 pub mod engine;
-pub mod flowtab;
 pub mod sketch;
 
 pub use crowd::{estimate_identifier_space, IdentifierSpaceEstimate};
 pub use engine::{StreamEngine, StreamReport};
-pub use flowtab::{FlowRecord, FlowRecordSink, StreamFlowTable};

@@ -15,14 +15,9 @@
 //!
 //! ## Switching it off
 //!
-//! Two layers, per the overhead budget pinned by `perf_telemetry`:
-//!
-//! - **Runtime**: [`set_enabled`]`(false)` turns every record/observe
-//!   call into a relaxed atomic load and branch. Enabled by default.
-//! - **Compile time**: building without the `telemetry` cargo feature
-//!   (on by default) compiles every instrumentation call to an empty
-//!   inline function — zero cost, verified by the disabled leg of the
-//!   bench.
+//! [`set_enabled`]`(false)` turns every record/observe call into a relaxed
+//! atomic load and branch; recording is enabled by default. The overhead
+//! budget is pinned by the `perf_telemetry` bench.
 //!
 //! Collection (`take_records`, `snapshot`, manifests) works the same
 //! either way; with telemetry off it simply observes nothing.
@@ -50,8 +45,7 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Is recording currently on? (Always `false` when the `telemetry`
-/// feature is compiled out — callers never get past the `cfg` gate.)
+/// Is recording currently on?
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)

@@ -9,10 +9,9 @@
 //!   lookup in a per-call-site `OnceLock`, so steady-state cost is one
 //!   atomic load plus the RMW;
 //! * the global [`enabled`](crate::enabled) switch is a relaxed load and a
-//!   predictable branch; with the `telemetry` cargo feature off, record
-//!   methods compile to empty inline functions.
+//!   predictable branch.
 //!
-//! Like the stream sketches, every metric is **associatively mergeable**
+//! Every metric is **associatively mergeable**
 //! (counters and histogram buckets add; gauges take the last write), and a
 //! [`snapshot`] is rendered in sorted name order — a pure function of the
 //! recorded values, so deterministic workloads produce byte-identical
@@ -48,12 +47,9 @@ impl Counter {
     /// Add `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "telemetry")]
         if crate::enabled() {
             self.value.fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
     }
 
     /// Add one event.
@@ -86,33 +82,24 @@ impl Gauge {
 
     #[inline]
     pub fn set(&self, value: i64) {
-        #[cfg(feature = "telemetry")]
         if crate::enabled() {
             self.value.store(value, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = value;
     }
 
     /// Record `value` if it exceeds the current reading (peak tracking).
     #[inline]
     pub fn set_max(&self, value: i64) {
-        #[cfg(feature = "telemetry")]
         if crate::enabled() {
             self.value.fetch_max(value, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = value;
     }
 
     #[inline]
     pub fn add(&self, delta: i64) {
-        #[cfg(feature = "telemetry")]
         if crate::enabled() {
             self.value.fetch_add(delta, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = delta;
     }
 
     pub fn get(&self) -> i64 {
@@ -158,14 +145,11 @@ impl Histogram {
 
     #[inline]
     pub fn observe(&self, value: u64) {
-        #[cfg(feature = "telemetry")]
         if crate::enabled() {
             self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
             self.count.fetch_add(1, Ordering::Relaxed);
             self.sum.fetch_add(value, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = value;
     }
 
     pub fn count(&self) -> u64 {
@@ -411,11 +395,8 @@ mod tests {
         counter("test.off").add(10);
         histogram("test.off_h").observe(9);
         crate::set_enabled(true);
-        #[cfg(feature = "telemetry")]
-        {
-            assert_eq!(counter("test.off").get(), 0);
-            assert_eq!(histogram("test.off_h").count(), 0);
-        }
+        assert_eq!(counter("test.off").get(), 0);
+        assert_eq!(histogram("test.off_h").count(), 0);
     }
 
     #[test]

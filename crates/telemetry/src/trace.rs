@@ -107,7 +107,6 @@ thread_local! {
 /// Record one trace entry on the current thread.
 #[inline]
 pub fn record(kind: TraceKind, name: &'static str) {
-    #[cfg(feature = "telemetry")]
     if crate::enabled() {
         let record = TraceRecord {
             lane: pool::current_lane(),
@@ -118,10 +117,6 @@ pub fn record(kind: TraceKind, name: &'static str) {
             wall_nanos: clock::wall_nanos(),
         };
         BUFFER.with(|buffer| buffer.records.borrow_mut().push(record));
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (kind, name);
     }
 }
 

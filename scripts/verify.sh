@@ -12,7 +12,9 @@
 # 3. paper-scale integration tests: the suites marked #[ignore] (too slow
 #    for the default tier-1 wall clock) run here explicitly
 # 4. streaming equivalence: tests/stream_equivalence.rs pinned to 1 and 4
-#    worker threads — the stream engine must match batch at both
+#    worker threads — at every pcap chunk size the engine's Table 4
+#    records must equal the batch cross-join oracle, and its App. D.1
+#    groups the uncapped batch table's
 # 5. bench smoke: perf_wire in --quick mode must emit machine-readable
 #    {"type":"bench",...} JSON lines via the in-tree harness
 # 6. sweep smoke: perf_sweep in --quick mode must emit its

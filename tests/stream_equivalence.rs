@@ -1,17 +1,24 @@
 //! Streaming/batch equivalence: the single-pass `iotlan-stream` engine
 //! must reproduce the batch pipeline's figure and table outputs exactly —
-//! on a real `Lab` capture, at any pcap chunk size (down to one byte), and
-//! at any `IOTLAN_THREADS` setting for the sharded paths — plus property
-//! suites for the probabilistic sketches' documented guarantees.
+//! on a real `Lab` capture and at any pcap chunk size (down to one byte).
+//! Table 4 has one implementation, the engine's online correlator; it is
+//! checked against an independent batch cross-join kept here as the
+//! oracle. Property suites cover the KMV sketch's documented guarantees.
 
+use iotlan::analysis::responses::{
+    render, rows_from_records, DeviceRecord, EXCLUDED_PROTOCOLS, RESPONSE_WINDOW_SECS,
+};
+use iotlan::classify::flow::Transport;
+use iotlan::classify::rules::{classify_with_rules, paper_rules};
 use iotlan::classify::FlowTable;
 use iotlan::devices::Catalog;
 use iotlan::netsim::{Capture, SimDuration};
-use iotlan::stream::engine::{stream_capture, stream_captures_sharded, stream_pcaps_sharded};
-use iotlan::stream::sketch::{CountMin, Distinct};
+use iotlan::stream::engine::stream_capture;
+use iotlan::stream::sketch::Distinct;
 use iotlan::stream::{StreamEngine, StreamReport};
+use iotlan::wire::ethernet::EthernetAddress;
 use iotlan::{Lab, LabConfig};
-use iotlan_util::pool;
+use std::collections::BTreeMap;
 
 /// A small but real lab run: 93 devices idling plus scripted interactions.
 /// Built once and shared — the capture is read-only reference data.
@@ -30,14 +37,72 @@ fn lab_capture() -> &'static (Capture, Catalog) {
     })
 }
 
-/// The batch pipeline's rendered artifacts for `capture`.
+/// The Table 4 oracle: the batch cross-join. Every multicast UDP flow from
+/// a catalog device, with a non-excluded label, is a discovery; it drew a
+/// response from every unicast UDP flow to that device's IP and discovery
+/// source port with some packet 0–3 s after some discovery packet.
+fn batch_discovery_records(
+    table: &FlowTable,
+    catalog: &Catalog,
+) -> BTreeMap<EthernetAddress, DeviceRecord> {
+    let rules = paper_rules();
+    let is_udp = |t: Transport| matches!(t, Transport::Udp | Transport::UdpV6);
+    let discoveries: Vec<_> = table
+        .flows
+        .iter()
+        .filter(|flow| flow.is_multicast_or_broadcast() && is_udp(flow.key.transport))
+        .filter(|flow| catalog.devices.iter().any(|d| d.mac == flow.key.src_mac))
+        .map(|flow| (flow, classify_with_rules(flow, &rules)))
+        .filter(|(_, protocol)| !EXCLUDED_PROTOCOLS.contains(protocol))
+        .collect();
+    let mut records: BTreeMap<EthernetAddress, DeviceRecord> = BTreeMap::new();
+    for (flow, protocol) in &discoveries {
+        let record = records.entry(flow.key.src_mac).or_default();
+        record.discovery_protocols.insert(protocol.to_string());
+    }
+    for response in &table.flows {
+        if response.is_multicast_or_broadcast() || !is_udp(response.key.transport) {
+            continue;
+        }
+        let Some(device) = catalog
+            .devices
+            .iter()
+            .find(|d| Some(d.ip) == response.key.dst_ip)
+        else {
+            continue;
+        };
+        for (discovery, protocol) in &discoveries {
+            if discovery.key.src_mac != device.mac
+                || discovery.key.src_port != response.key.dst_port
+            {
+                continue;
+            }
+            let in_window = response.timestamps.iter().any(|rt| {
+                discovery.timestamps.iter().any(|dt| {
+                    let delta = rt.as_secs_f64() - dt.as_secs_f64();
+                    (0.0..=RESPONSE_WINDOW_SECS).contains(&delta)
+                })
+            });
+            if in_window {
+                let record = records.entry(device.mac).or_default();
+                record.protocols_with_response.insert(protocol.to_string());
+                record.responders.insert(response.key.src_mac);
+            }
+        }
+    }
+    records
+}
+
+/// The batch pipeline's rendered artifacts for `capture`, with the Table 4
+/// oracle.
 fn batch_renders(capture: &Capture, catalog: &Catalog) -> (String, String, String) {
     let table = FlowTable::from_capture(capture);
     (
         iotlan::analysis::graph::build_graph(&table, catalog).render(),
         iotlan::analysis::prevalence::passive_prevalence(&table, catalog).render(),
-        iotlan::analysis::responses::render(&iotlan::analysis::responses::discovery_responses(
-            &table, catalog,
+        render(&rows_from_records(
+            &batch_discovery_records(&table, catalog),
+            catalog,
         )),
     )
 }
@@ -48,7 +113,7 @@ fn report_renders(report: &StreamReport, catalog: &Catalog) -> (String, String, 
     (
         report.graph(catalog).render(),
         report.prevalence(catalog).render(),
-        iotlan::analysis::responses::render(&report.discovery_response_rows(catalog)),
+        render(&report.discovery_response_rows(catalog)),
     )
 }
 
@@ -58,12 +123,21 @@ fn lab_capture_streams_identically_at_every_chunk_size() {
     let batch = batch_renders(&capture, &catalog);
     let batch_table = FlowTable::from_capture(&capture);
     let batch_periodicity = iotlan::analysis::periodicity::analyze_periodicity(&batch_table);
+    let batch_records = batch_discovery_records(&batch_table, &catalog);
+    assert!(
+        batch_records.values().any(|r| !r.responders.is_empty()),
+        "the lab capture must exercise Table 4 matches"
+    );
 
     // Direct frame-fed path first.
     let report = stream_capture(&capture, &catalog);
     assert_eq!(report.packets, capture.len() as u64);
     assert_eq!(report_renders(&report, &catalog), batch);
-    assert!(report.periodicity_exact, "lab-scale keys must stay under EVENT_CAP");
+    assert_eq!(report.records, batch_records);
+    assert!(
+        report.periodicity_exact,
+        "lab-scale keys must stay under EVENT_CAP"
+    );
     let streamed_periodicity = report.periodicity();
     assert_eq!(
         streamed_periodicity.groups.len(),
@@ -89,98 +163,16 @@ fn lab_capture_streams_identically_at_every_chunk_size() {
         }
         let report = engine.finish().unwrap();
         assert_eq!(report.packets, capture.len() as u64, "chunk {chunk_size}");
-        assert_eq!(report_renders(&report, &catalog), batch, "chunk {chunk_size}");
-    }
-}
-
-#[test]
-fn sharded_streaming_is_thread_count_invariant() {
-    let (capture, catalog) = lab_capture();
-    let batch = batch_renders(&capture, &catalog);
-
-    // A single shard is the whole capture: the pooled path must reproduce
-    // the batch artifacts exactly at every worker count.
-    let whole = vec![capture.clone()];
-    for threads in [1usize, 4] {
-        let report = pool::with_threads(threads, || stream_captures_sharded(&whole, &catalog));
         assert_eq!(
             report_renders(&report, &catalog),
             batch,
-            "IOTLAN_THREADS={threads}"
+            "chunk {chunk_size}"
         );
-    }
-
-    // Multi-shard merges (three contiguous slices of the record stream)
-    // must be a pure function of the shard list, never the worker count —
-    // compare full reports, sketches included, across thread counts.
-    let third = capture.len() / 3;
-    let ranges = [(0, third), (third, 2 * third), (2 * third, capture.len())];
-    let shards: Vec<Capture> = ranges
-        .iter()
-        .map(|&(start, end)| {
-            Capture::from_frames(
-                capture
-                    .frames_from(start)
-                    .take(end - start)
-                    .map(|f| (f.time, f.data().to_vec()))
-                    .collect(),
-            )
-        })
-        .collect();
-    let images: Vec<Vec<u8>> = shards.iter().map(|s| s.to_pcap()).collect();
-    let summarize = |report: &StreamReport| {
-        (
-            report.packets,
-            report.flow_keys,
-            report_renders(report, &catalog),
-            report.peer_pairs.estimate().to_bits(),
-            report.port_packets.total(),
-        )
-    };
-    let reference = summarize(&pool::with_threads(1, || {
-        stream_captures_sharded(&shards, &catalog)
-    }));
-    for threads in [1usize, 4] {
-        let frame_fed =
-            pool::with_threads(threads, || stream_captures_sharded(&shards, &catalog));
-        assert_eq!(summarize(&frame_fed), reference, "IOTLAN_THREADS={threads}");
-        let pcap_fed = pool::with_threads(threads, || {
-            stream_pcaps_sharded(&images, 4096, &catalog).unwrap()
-        });
-        assert_eq!(summarize(&pcap_fed), reference, "pcap IOTLAN_THREADS={threads}");
+        assert_eq!(report.records, batch_records, "chunk {chunk_size}");
     }
 }
 
 iotlan_util::props! {
-    /// Count-Min never underestimates any key's true count, and the total
-    /// is tracked exactly.
-    fn count_min_overestimates_only(g) {
-        let width = g.int_in(8usize..=256);
-        let depth = g.int_in(1usize..=5);
-        let mut sketch = CountMin::new(width, depth, g.u64());
-        let mut exact: std::collections::HashMap<Vec<u8>, u64> =
-            std::collections::HashMap::new();
-        let base = g.u64();
-        let inserts = g.vec_of(1, 200, |g| {
-            // Keys drawn from a small pool so collisions and repeats occur.
-            let key = (base ^ g.int_in(0u64..=24)).to_le_bytes().to_vec();
-            let weight = g.int_in(1u64..=1000);
-            (key, weight)
-        });
-        for (key, weight) in &inserts {
-            sketch.insert_weighted(key, *weight);
-            *exact.entry(key.clone()).or_default() += *weight;
-        }
-        for (key, &count) in &exact {
-            assert!(
-                sketch.estimate(key) >= count,
-                "estimate {} under true count {count}",
-                sketch.estimate(key)
-            );
-        }
-        assert_eq!(sketch.total(), exact.values().sum::<u64>());
-    }
-
     /// KMV is exact below k distinct keys and within its documented
     /// relative standard error (1/sqrt(k-2)) above it.
     fn distinct_counter_within_documented_error(g) {
@@ -206,32 +198,18 @@ iotlan_util::props! {
         }
     }
 
-    /// Sketch merges are associative (and, for KMV, commutative): shard
-    /// grouping can never change a merged estimate.
+    /// KMV merges are associative and commutative: shard grouping can
+    /// never change a merged estimate.
     fn sketch_merges_are_associative(g) {
         let seed = g.u64();
-        let width = g.int_in(8usize..=64);
-        let depth = g.int_in(1usize..=4);
-        let mut cms: Vec<CountMin> =
-            (0..3).map(|_| CountMin::new(width, depth, seed)).collect();
         let mut kmvs: Vec<Distinct> = (0..3).map(|_| Distinct::new(8, seed)).collect();
         for sketch_index in 0..3 {
             let items = g.vec_of(0, 60, |g| g.int_in(0u64..=40));
             for item in items {
-                cms[sketch_index].insert(&item.to_le_bytes());
                 kmvs[sketch_index].insert(&item.to_le_bytes());
             }
         }
         // ((a + b) + c) == (a + (b + c)), as full-state equality.
-        let mut cm_left = cms[0].clone();
-        cm_left.merge(&cms[1]);
-        cm_left.merge(&cms[2]);
-        let mut cm_bc = cms[1].clone();
-        cm_bc.merge(&cms[2]);
-        let mut cm_right = cms[0].clone();
-        cm_right.merge(&cm_bc);
-        assert_eq!(cm_left, cm_right);
-
         let mut kmv_left = kmvs[0].clone();
         kmv_left.merge(&kmvs[1]);
         kmv_left.merge(&kmvs[2]);
